@@ -26,7 +26,8 @@ REPO = Path(__file__).resolve().parent.parent
 if str(REPO / "src") not in sys.path:
     sys.path.insert(0, str(REPO / "src"))
 
-from repro.serve.bench import format_report, run_serve_bench, write_report  # noqa: E402
+from repro.io import write_json  # noqa: E402
+from repro.serve.bench import format_report, run_serve_bench  # noqa: E402
 
 OUT_PATH = REPO / "BENCH_serve.json"
 
@@ -53,7 +54,7 @@ def test_serve_throughput(benchmark):
 
     result = once(benchmark, lambda: run_bench(tiny=True))
     print(format_report(result))
-    write_report(result, OUT_PATH)
+    write_json(OUT_PATH, result)
     assert result["serial_batched_allclose"], (
         "batched decisions diverged from the batch=1 agents"
     )
@@ -76,7 +77,7 @@ def main(argv=None) -> int:
 
     result = run_bench(tiny=args.tiny)
     print(format_report(result))
-    write_report(result, args.out)
+    write_json(args.out, result)
     print(f"wrote {args.out}")
     if not args.tiny and result["speedup"] < 3.0:
         print("WARNING: below the 3x target at 64 flows", file=sys.stderr)

@@ -36,11 +36,8 @@ if str(REPO / "src") not in sys.path:
 
 from repro.collector.gr_unit import STATE_DIM  # noqa: E402
 from repro.collector.pool import PolicyPool, Trajectory  # noqa: E402
-from repro.train.bench import (  # noqa: E402
-    format_report,
-    run_train_bench,
-    write_report,
-)
+from repro.io import write_json  # noqa: E402
+from repro.train.bench import format_report, run_train_bench  # noqa: E402
 
 OUT_PATH = REPO / "BENCH_train.json"
 
@@ -91,7 +88,7 @@ def test_train_throughput(benchmark, policy_pool):
         ),
     )
     print(format_report(result))
-    write_report(result, OUT_PATH)
+    write_json(OUT_PATH, result)
     assert result["equivalence"]["within_tolerance"], (
         "fused engine diverged from the legacy trainer"
     )
@@ -120,7 +117,7 @@ def main(argv=None) -> int:
 
     result = run_bench(tiny=args.tiny, collect_workers=args.collect_workers)
     print(format_report(result))
-    write_report(result, args.out)
+    write_json(args.out, result)
     print(f"wrote {args.out}")
     if not result["equivalence"]["within_tolerance"]:
         print("ERROR: fused engine outside the equivalence tolerance",

@@ -25,12 +25,13 @@ tick index for serving faults. Injection itself lives in
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+
+from repro.io import write_json
 
 __all__ = ["SITES", "FaultSpec", "FaultPlan", "DEFAULT_PARAMS", "DEFAULT_UNIVERSES"]
 
@@ -242,11 +243,7 @@ class FaultPlan:
 
     def save(self, path) -> None:
         """Atomically write the plan as JSON."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.to_json(), indent=1) + "\n")
-        os.replace(tmp, path)
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "FaultPlan":

@@ -28,7 +28,6 @@ batch runs clean and recovery can fully mask the fault.
 from __future__ import annotations
 
 import json
-import os
 import zlib
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -43,6 +42,7 @@ from repro.chaos.plan import (
     FaultPlan,
     FaultSpec,
 )
+from repro.io import write_json
 
 __all__ = ["FaultProcess", "DEFAULT_RATES", "PROCESS_SCHEMA_VERSION"]
 
@@ -216,11 +216,7 @@ class FaultProcess:
 
     def save(self, path) -> None:
         """Atomically write the process spec as JSON."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.to_json(), indent=1) + "\n")
-        os.replace(tmp, path)
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "FaultProcess":

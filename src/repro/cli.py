@@ -166,7 +166,8 @@ def _cmd_train_bench(args) -> int:
     from repro.core.crr import CRRConfig
     from repro.core.networks import NetworkConfig
     from repro.datastore import open_pool
-    from repro.train.bench import format_report, run_train_bench, write_report
+    from repro.io import write_json
+    from repro.train.bench import format_report, run_train_bench
 
     pool = open_pool(args.pool) if args.pool else None
     net = NetworkConfig(
@@ -186,14 +187,15 @@ def _cmd_train_bench(args) -> int:
         scaling_workers=scaling, scaling_steps=args.scaling_steps,
     )
     print(format_report(result))
-    write_report(result, args.out)
+    write_json(args.out, result)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_serve_bench(args) -> int:
     from repro.core.networks import NetworkConfig
-    from repro.serve.bench import format_report, run_serve_bench, write_report
+    from repro.io import write_json
+    from repro.serve.bench import format_report, run_serve_bench
     from repro.serve.harness import WorkloadServeConfig
 
     net = NetworkConfig(
@@ -224,7 +226,7 @@ def _cmd_serve_bench(args) -> int:
         workload=args.workload, workload_config=workload_config,
     )
     print(format_report(result))
-    write_report(result, args.out)
+    write_json(args.out, result)
     print(f"wrote {args.out}")
     return 0
 

@@ -13,13 +13,12 @@ scheme and environment that produced them. It supports:
 
 from __future__ import annotations
 
-import zipfile
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.io import read_npz, write_npz
 
 
 def _escape_meta(field: str) -> str:
@@ -252,8 +251,7 @@ class PolicyPool:
 
     # ------------------------------------------------------------------
     def save(self, path) -> None:
-        """Persist the pool as one compressed ``.npz``."""
-        path = Path(path)
+        """Persist the pool as one compressed ``.npz`` (:func:`write_npz`)."""
         payload: Dict[str, np.ndarray] = {
             "n": np.array([len(self.trajectories)]),
         }
@@ -272,45 +270,30 @@ class PolicyPool:
                 f"|{int(t.multi_flow)}"
             )
         payload["meta"] = np.array(meta)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(path, **payload)
+        write_npz(path, payload)
 
     @classmethod
     def load(cls, path) -> "PolicyPool":
-        path = Path(path)
+        data = read_npz(path, what="pool file", required=("n", "meta"))
         try:
-            data = np.load(path, allow_pickle=False)
-        except (zipfile.BadZipFile, OSError, ValueError) as exc:
-            raise ValueError(
-                f"corrupt or truncated pool file {path}: {exc}"
-            ) from exc
-        with data:
-            try:
-                n = int(data["n"][0])
-                meta = [str(m) for m in data["meta"]]
-                trajectories = []
-                for i in range(n):
-                    scheme, env_id, multi = parse_meta(meta[i])
-                    trajectories.append(
-                        Trajectory(
-                            scheme=scheme,
-                            env_id=env_id,
-                            multi_flow=multi,
-                            states=data[f"s{i}"],
-                            actions=data[f"a{i}"],
-                            rewards=data[f"r{i}"],
-                        )
+            meta = [str(m) for m in data["meta"]]
+            trajectories = []
+            for i in range(int(data["n"][0])):
+                scheme, env_id, multi = parse_meta(meta[i])
+                trajectories.append(
+                    Trajectory(
+                        scheme=scheme,
+                        env_id=env_id,
+                        multi_flow=multi,
+                        states=data[f"s{i}"],
+                        actions=data[f"a{i}"],
+                        rewards=data[f"r{i}"],
                     )
-            except (KeyError, IndexError) as exc:
-                raise ValueError(
-                    f"corrupt pool file {path}: missing entry {exc}"
-                ) from exc
-            except (zipfile.BadZipFile, zlib.error, OSError) as exc:
-                # a truncated archive can pass np.load's header check and
-                # only fail once a member is decompressed
-                raise ValueError(
-                    f"corrupt or truncated pool file {path}: {exc}"
-                ) from exc
+                )
+        except (KeyError, IndexError) as exc:
+            raise ValueError(
+                f"corrupt pool file {path}: missing entry {exc}"
+            ) from exc
         return cls(trajectories)
 
     # ------------------------------------------------------------------

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.io import write_json
+
 SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 QUARANTINE_DIR = "quarantine"
@@ -168,11 +170,7 @@ class Manifest:
 
     def save(self, root) -> None:
         """Atomically (re)write ``root/manifest.json``."""
-        root = Path(root)
-        root.mkdir(parents=True, exist_ok=True)
-        tmp = root / (MANIFEST_NAME + ".tmp")
-        tmp.write_text(json.dumps(self.to_json(), indent=1) + "\n")
-        os.replace(tmp, root / MANIFEST_NAME)
+        write_json(Path(root) / MANIFEST_NAME, self.to_json())
 
     @classmethod
     def load(cls, root) -> "Manifest":

@@ -9,20 +9,16 @@ RegressionTree` with everything the serving router needs:
 - a **refresh interval** — the router forces a real NN forward every
   ``refresh_every`` ticks per flow, bounding how stale the hidden-summary
   features can get;
-- **.npz persistence** with a schema version and a CRC32 sidecar, the same
-  tmp-then-``os.replace`` + integrity-check contract as train checkpoints:
-  a crash mid-write never leaves a truncated file under the real name, and
-  a corrupt file raises ``ValueError`` instead of half-loading.
+- **.npz persistence** through :mod:`repro.io`: schema-versioned, written
+  atomically with an in-archive integrity record, so a crash mid-write
+  never leaves a truncated file under the real name and a corrupt file
+  raises ``ValueError`` instead of half-loading.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import zipfile
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
@@ -35,14 +31,15 @@ from repro.distill.dataset import (
     hidden_summary,
 )
 from repro.distill.tree import RegressionTree, TreeConfig
+from repro.io import read_npz, write_npz
 
 #: bump when the .npz layout changes; loaders reject other versions
 SCHEMA_VERSION = 1
 
 _REQUIRED_KEYS = (
     "meta/schema_version", "meta/conf_threshold", "meta/refresh_every",
-    "tree/feature", "tree/threshold", "tree/left", "tree/right",
-    "tree/value", "tree/conf",
+    "meta/n_features", "meta/depth", "tree/feature", "tree/threshold",
+    "tree/left", "tree/right", "tree/value", "tree/conf",
 )
 
 
@@ -111,114 +108,59 @@ class DistilledPolicy:
         return self.tree.rules(feature_names(), max_rules=max_rules)
 
     # ------------------------------------------------------------------
-    # persistence (same atomicity/integrity contract as train checkpoints)
+    # persistence
     # ------------------------------------------------------------------
     def save(self, path) -> None:
-        """Atomically write the controller, with a CRC32 sidecar."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "meta/schema_version": np.array([SCHEMA_VERSION], dtype=np.int64),
-            "meta/conf_threshold": np.array([self.conf_threshold]),
-            "meta/refresh_every": np.array([self.refresh_every], dtype=np.int64),
-            "meta/n_features": np.array([self.tree.n_features], dtype=np.int64),
-            "meta/depth": np.array([self.tree.depth], dtype=np.int64),
-            "meta/json": np.frombuffer(
-                json.dumps(self.meta, sort_keys=True).encode("utf-8"),
-                dtype=np.uint8,
-            ),
-            "tree/feature": self.tree.feature,
-            "tree/threshold": self.tree.threshold,
-            "tree/left": self.tree.left,
-            "tree/right": self.tree.right,
-            "tree/value": self.tree.value,
-            "tree/conf": self.tree.conf,
-        }
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-        os.replace(tmp, path)
-        crc = 0
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                crc = zlib.crc32(block, crc)
-        sidecar = path.with_name(path.name + ".crc32")
-        tmp = sidecar.with_name(sidecar.name + ".tmp")
-        tmp.write_text(
-            json.dumps({"crc32": crc & 0xFFFFFFFF, "bytes": path.stat().st_size})
-            + "\n"
+        """Atomically write the controller (:func:`repro.io.write_npz`)."""
+        write_npz(
+            path,
+            {
+                "meta/schema_version": np.array([SCHEMA_VERSION], dtype=np.int64),
+                "meta/conf_threshold": np.array([self.conf_threshold]),
+                "meta/refresh_every": np.array([self.refresh_every], dtype=np.int64),
+                "meta/n_features": np.array([self.tree.n_features], dtype=np.int64),
+                "meta/depth": np.array([self.tree.depth], dtype=np.int64),
+                "meta/json": np.frombuffer(
+                    json.dumps(self.meta, sort_keys=True).encode("utf-8"),
+                    dtype=np.uint8,
+                ),
+                "tree/feature": self.tree.feature,
+                "tree/threshold": self.tree.threshold,
+                "tree/left": self.tree.left,
+                "tree/right": self.tree.right,
+                "tree/value": self.tree.value,
+                "tree/conf": self.tree.conf,
+            },
         )
-        os.replace(tmp, sidecar)
 
     @classmethod
     def load(cls, path) -> "DistilledPolicy":
         """Load and verify a :meth:`save` file; ``ValueError`` on corruption."""
-        path = Path(path)
-        sidecar = path.with_name(path.name + ".crc32")
-        if sidecar.exists():
-            expected = json.loads(sidecar.read_text())
-            crc = 0
-            with open(path, "rb") as fh:
-                for block in iter(lambda: fh.read(1 << 20), b""):
-                    crc = zlib.crc32(block, crc)
-            if (
-                (crc & 0xFFFFFFFF) != int(expected["crc32"])
-                or path.stat().st_size != int(expected["bytes"])
-            ):
-                raise ValueError(
-                    f"distilled checkpoint {path} fails its integrity check "
-                    f"(crc/size mismatch vs {sidecar.name}); refusing to load"
-                )
-        try:
-            data = np.load(path, allow_pickle=False)
-        except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-            raise ValueError(
-                f"distilled checkpoint {path} is not a valid .npz archive: "
-                f"{exc}"
-            ) from exc
-        try:
-            with data:
-                keys = set(data.files)
-                missing = [k for k in _REQUIRED_KEYS if k not in keys]
-                if missing:
-                    raise ValueError(
-                        f"distilled checkpoint {path} is missing keys "
-                        f"{missing}; not a distilled-controller file"
-                    )
-                version = int(data["meta/schema_version"][0])
-                if version != SCHEMA_VERSION:
-                    raise ValueError(
-                        f"distilled checkpoint {path} has schema version "
-                        f"{version}; this build reads version {SCHEMA_VERSION}"
-                    )
-                feature = np.asarray(data["tree/feature"])
-                tree = RegressionTree(
-                    feature=feature,
-                    threshold=np.asarray(data["tree/threshold"]),
-                    left=np.asarray(data["tree/left"]),
-                    right=np.asarray(data["tree/right"]),
-                    value=np.asarray(data["tree/value"]),
-                    conf=np.asarray(data["tree/conf"]),
-                    n_features=int(data["meta/n_features"][0]),
-                    depth=int(data["meta/depth"][0]),
-                )
-                meta = {}
-                if "meta/json" in keys:
-                    meta = json.loads(
-                        np.asarray(data["meta/json"]).tobytes().decode("utf-8")
-                    )
-                return cls(
-                    tree=tree,
-                    conf_threshold=float(data["meta/conf_threshold"][0]),
-                    refresh_every=int(data["meta/refresh_every"][0]),
-                    meta=meta,
-                )
-        except (zipfile.BadZipFile, EOFError, OSError) as exc:
-            # individual member reads can still hit a truncated archive
-            raise ValueError(
-                f"distilled checkpoint {path} is not a valid .npz archive: "
-                f"{exc}"
-            ) from exc
+        data = read_npz(
+            path,
+            what="distilled checkpoint",
+            required=_REQUIRED_KEYS,
+            schema_version=SCHEMA_VERSION,
+        )
+        tree = RegressionTree(
+            feature=data["tree/feature"],
+            threshold=data["tree/threshold"],
+            left=data["tree/left"],
+            right=data["tree/right"],
+            value=data["tree/value"],
+            conf=data["tree/conf"],
+            n_features=int(data["meta/n_features"][0]),
+            depth=int(data["meta/depth"][0]),
+        )
+        meta = {}
+        if "meta/json" in data:
+            meta = json.loads(data["meta/json"].tobytes().decode("utf-8"))
+        return cls(
+            tree=tree,
+            conf_threshold=float(data["meta/conf_threshold"][0]),
+            refresh_every=int(data["meta/refresh_every"][0]),
+            meta=meta,
+        )
 
 
 # --------------------------------------------------------------------------

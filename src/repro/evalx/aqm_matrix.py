@@ -16,15 +16,13 @@ the JSON as the ``aqm-matrix`` artifact.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Sequence
 
 from repro.collector.environments import aqm_environments
 from repro.evalx.leagues import Participant, _run_matches, run_participant
 from repro.evalx.scores import ScoreEntry, interval_scores, winning_rates
+from repro.io import write_json
 
 __all__ = ["AqmMatrix", "run_aqm_matrix", "DEFAULT_MATRIX_AQMS"]
 
@@ -103,11 +101,7 @@ class AqmMatrix:
 
     def save(self, path) -> None:
         """Atomically write the matrix as JSON (the CI artifact)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.to_json(), indent=1) + "\n")
-        os.replace(tmp, path)
+        write_json(path, self.to_json())
 
 
 def run_aqm_matrix(

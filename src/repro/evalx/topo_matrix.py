@@ -14,15 +14,13 @@ uploads the JSON as the ``topo-matrix`` artifact.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.collector.environments import topology_class_environments
 from repro.evalx.leagues import Participant, _run_matches, run_participant
 from repro.evalx.scores import ScoreEntry, interval_scores, winning_rates
+from repro.io import write_json
 from repro.netsim.topo import TOPOLOGY_CLASSES
 
 __all__ = ["TopologyMatrix", "run_topology_matrix", "DEFAULT_MATRIX_SCHEMES"]
@@ -89,11 +87,7 @@ class TopologyMatrix:
 
     def save(self, path) -> None:
         """Atomically write the matrix as JSON (the CI artifact)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.to_json(), indent=1) + "\n")
-        os.replace(tmp, path)
+        write_json(path, self.to_json())
 
 
 def run_topology_matrix(

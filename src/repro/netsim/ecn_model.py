@@ -14,22 +14,19 @@ a handful of numpy ops on a length-4 vector — cheap enough for the
 per-packet enqueue path. Training lives in :mod:`repro.aqm_learn`; this
 module owns the forward pass and persistence.
 
-Persistence follows the repo's checkpoint contract (same as
-``repro.distill`` and train checkpoints): schema-versioned ``.npz``, CRC32
-sidecar, tmp-then-``os.replace`` atomic writes, and a clear ``ValueError``
-instead of a half-loaded model on corruption.
+Persistence goes through :mod:`repro.io`: a schema-versioned ``.npz`` with
+an in-archive integrity record, written atomically, and a clear
+``ValueError`` instead of a half-loaded model on corruption.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import zipfile
-import zlib
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
+
+from repro.io import read_npz, write_npz
 
 __all__ = [
     "EcnPredictor", "FEATURES", "FEATURE_DIM", "SCHEMA_VERSION",
@@ -146,95 +143,41 @@ class EcnPredictor:
         )
 
     # ------------------------------------------------------------------
-    # persistence (same atomicity/integrity contract as distill/train)
+    # persistence
     # ------------------------------------------------------------------
     def save(self, path) -> None:
-        """Atomically write the predictor, with a CRC32 sidecar."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "meta/schema_version": np.array([SCHEMA_VERSION], dtype=np.int64),
-            "meta/json": np.frombuffer(
-                json.dumps(self.meta, sort_keys=True).encode("utf-8"),
-                dtype=np.uint8,
-            ),
-            "model/w1": self.w1,
-            "model/b1": self.b1,
-            "model/w2": self.w2,
-            "model/b2": self.b2,
-        }
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-        os.replace(tmp, path)
-        crc = 0
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                crc = zlib.crc32(block, crc)
-        sidecar = path.with_name(path.name + ".crc32")
-        tmp = sidecar.with_name(sidecar.name + ".tmp")
-        tmp.write_text(
-            json.dumps({"crc32": crc & 0xFFFFFFFF, "bytes": path.stat().st_size})
-            + "\n"
+        """Atomically write the predictor (:func:`repro.io.write_npz`)."""
+        write_npz(
+            path,
+            {
+                "meta/schema_version": np.array([SCHEMA_VERSION], dtype=np.int64),
+                "meta/json": np.frombuffer(
+                    json.dumps(self.meta, sort_keys=True).encode("utf-8"),
+                    dtype=np.uint8,
+                ),
+                "model/w1": self.w1,
+                "model/b1": self.b1,
+                "model/w2": self.w2,
+                "model/b2": self.b2,
+            },
         )
-        os.replace(tmp, sidecar)
 
     @classmethod
     def load(cls, path) -> "EcnPredictor":
         """Load and verify a :meth:`save` file; ``ValueError`` on corruption."""
-        path = Path(path)
-        sidecar = path.with_name(path.name + ".crc32")
-        if sidecar.exists():
-            expected = json.loads(sidecar.read_text())
-            crc = 0
-            with open(path, "rb") as fh:
-                for block in iter(lambda: fh.read(1 << 20), b""):
-                    crc = zlib.crc32(block, crc)
-            if (
-                (crc & 0xFFFFFFFF) != int(expected["crc32"])
-                or path.stat().st_size != int(expected["bytes"])
-            ):
-                raise ValueError(
-                    f"ECN predictor checkpoint {path} fails its integrity "
-                    f"check (crc/size mismatch vs {sidecar.name}); refusing "
-                    f"to load"
-                )
-        try:
-            data = np.load(path, allow_pickle=False)
-        except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-            raise ValueError(
-                f"ECN predictor checkpoint {path} is not a valid .npz "
-                f"archive: {exc}"
-            ) from exc
-        try:
-            with data:
-                keys = set(data.files)
-                missing = [k for k in _REQUIRED_KEYS if k not in keys]
-                if missing:
-                    raise ValueError(
-                        f"ECN predictor checkpoint {path} is missing keys "
-                        f"{missing}; not an ECN-predictor file"
-                    )
-                version = int(data["meta/schema_version"][0])
-                if version != SCHEMA_VERSION:
-                    raise ValueError(
-                        f"ECN predictor checkpoint {path} has schema version "
-                        f"{version}; this build reads version {SCHEMA_VERSION}"
-                    )
-                meta = {}
-                if "meta/json" in keys:
-                    meta = json.loads(
-                        np.asarray(data["meta/json"]).tobytes().decode("utf-8")
-                    )
-                return cls(
-                    w1=np.asarray(data["model/w1"]),
-                    b1=np.asarray(data["model/b1"]),
-                    w2=np.asarray(data["model/w2"]),
-                    b2=np.asarray(data["model/b2"]),
-                    meta=meta,
-                )
-        except (zipfile.BadZipFile, EOFError, OSError) as exc:
-            raise ValueError(
-                f"ECN predictor checkpoint {path} is not a valid .npz "
-                f"archive: {exc}"
-            ) from exc
+        data = read_npz(
+            path,
+            what="ECN predictor checkpoint",
+            required=_REQUIRED_KEYS,
+            schema_version=SCHEMA_VERSION,
+        )
+        meta = {}
+        if "meta/json" in data:
+            meta = json.loads(data["meta/json"].tobytes().decode("utf-8"))
+        return cls(
+            w1=data["model/w1"],
+            b1=data["model/b1"],
+            w2=data["model/w2"],
+            b2=data["model/b2"],
+            meta=meta,
+        )

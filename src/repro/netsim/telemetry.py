@@ -23,12 +23,12 @@ it is absent, so droptail event streams stay bit-identical.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.io import read_npz, write_npz
 from repro.netsim.ecn_model import FEATURES
 from repro.netsim.packet import Packet
 
@@ -105,23 +105,17 @@ class QueueTelemetryRecorder:
 
     def save(self, path) -> Path:
         """Write completed rows as a schema-versioned trace shard."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         arrays = self.to_arrays()
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(
-                fh,
-                **{
-                    "meta/schema_version": np.array(
-                        [TRACE_SCHEMA_VERSION], dtype=np.int64
-                    ),
-                    "trace/features": arrays["features"],
-                    "trace/sojourns": arrays["sojourns"],
-                },
-            )
-        os.replace(tmp, path)
-        return path
+        return write_npz(
+            path,
+            {
+                "meta/schema_version": np.array(
+                    [TRACE_SCHEMA_VERSION], dtype=np.int64
+                ),
+                "trace/features": arrays["features"],
+                "trace/sojourns": arrays["sojourns"],
+            },
+        )
 
 
 def load_traces(paths) -> Dict[str, np.ndarray]:
@@ -133,28 +127,14 @@ def load_traces(paths) -> Dict[str, np.ndarray]:
     feats: List[np.ndarray] = []
     sojourns: List[np.ndarray] = []
     for p in paths:
-        p = Path(p)
-        try:
-            data = np.load(p, allow_pickle=False)
-        except Exception as exc:
-            raise ValueError(f"queue trace {p} is unreadable: {exc}") from exc
-        with data:
-            keys = set(data.files)
-            required = {"meta/schema_version", "trace/features", "trace/sojourns"}
-            missing = sorted(required - keys)
-            if missing:
-                raise ValueError(
-                    f"queue trace {p} is missing keys {missing}; "
-                    f"not a telemetry shard"
-                )
-            version = int(data["meta/schema_version"][0])
-            if version != TRACE_SCHEMA_VERSION:
-                raise ValueError(
-                    f"queue trace {p} has schema version {version}; this "
-                    f"build reads version {TRACE_SCHEMA_VERSION}"
-                )
-            f = np.asarray(data["trace/features"], dtype=np.float64)
-            s = np.asarray(data["trace/sojourns"], dtype=np.float64)
+        data = read_npz(
+            p,
+            what="queue trace",
+            required=("trace/features", "trace/sojourns"),
+            schema_version=TRACE_SCHEMA_VERSION,
+        )
+        f = np.asarray(data["trace/features"], dtype=np.float64)
+        s = np.asarray(data["trace/sojourns"], dtype=np.float64)
         if f.ndim != 2 or f.shape[1] != len(FEATURES) or f.shape[0] != s.shape[0]:
             raise ValueError(
                 f"queue trace {p} has inconsistent shapes "

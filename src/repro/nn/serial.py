@@ -2,22 +2,20 @@
 
 from __future__ import annotations
 
-import zipfile
-from pathlib import Path
 from typing import Dict
 
 import numpy as np
 
+from repro.io import read_npz, write_npz
 from repro.nn.layers import Module
+
+#: trainer checkpoints store the policy's parameters under this prefix
+_POLICY_PREFIX = "policy/"
 
 
 def save_params(module: Module, path) -> None:
-    """Write a module's state dict to a compressed ``.npz`` file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    state = module.state_dict()
-    # npz keys cannot contain '/', dots are fine.
-    np.savez_compressed(path, **state)
+    """Atomically write a module's state dict (see :func:`repro.io.write_npz`)."""
+    write_npz(path, module.state_dict())
 
 
 def load_params(module: Module, path) -> None:
@@ -26,21 +24,26 @@ def load_params(module: Module, path) -> None:
     Raises
     ------
     ValueError
-        If the file is not a valid ``.npz`` archive (truncated download,
-        interrupted save, ...) — names the offending file and how to rebuild
-        it rather than surfacing a bare ``zipfile.BadZipFile``.
+        If the file fails its integrity check (truncated download,
+        interrupted copy, flipped bytes, ...); for the shipped model,
+        regenerate it with ``python tools/export_pretrained.py``.
     """
-    path = Path(path)
-    try:
-        with np.load(path) as data:
-            state: Dict[str, np.ndarray] = {k: data[k] for k in data.files}
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
-        # BadZipFile: zip magic present but archive truncated/corrupt.
-        # ValueError: no zip magic at all (np.load mistakes it for a
-        # legacy pickle). Either way the checkpoint is unusable.
-        raise ValueError(
-            f"checkpoint {path} is not a valid .npz archive ({exc}); "
-            f"the file is corrupt or truncated — regenerate it (for the "
-            f"shipped model: python tools/export_pretrained.py)"
-        ) from exc
-    module.load_state_dict(state)
+    module.load_state_dict(read_npz(path, what="checkpoint"))
+
+
+def read_policy_params(path) -> Dict[str, np.ndarray]:
+    """A policy state dict from an agent- or trainer-format checkpoint.
+
+    Agent checkpoints (:func:`save_params`, ``SageAgent.save``) hold the
+    state dict as-is; trainer checkpoints (``save_checkpoint``) hold the
+    policy's parameters under ``policy/``, which is stripped. Integrity
+    failures raise ``ValueError`` as in :func:`load_params`.
+    """
+    data = read_npz(path, what="checkpoint")
+    if any(key.startswith(_POLICY_PREFIX) for key in data):
+        return {
+            key[len(_POLICY_PREFIX):]: value
+            for key, value in data.items()
+            if key.startswith(_POLICY_PREFIX)
+        }
+    return data

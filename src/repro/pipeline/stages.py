@@ -7,7 +7,7 @@ its inputs from the pipeline workdir, and leaves its artifacts there:
 - ``verify``   -> the same store, audited; corrupt shards quarantined and
   the missing rollouts **re-collected**, rebuilding a store byte-identical
   to a fault-free run's
-- ``train``    -> ``<workdir>/checkpoint.npz`` (+ ``.crc32`` sidecar)
+- ``train``    -> ``<workdir>/checkpoint.npz`` (integrity record inside)
 - ``eval``     -> ``<workdir>/eval.json``  (served-policy rollout metrics)
 
 Stages are **deterministic given the config**, so re-running one after a
@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.io import read_npz, write_json
 from repro.pipeline.supervisor import StageSpec, Supervisor
 
 __all__ = ["PipelineConfig", "build_pipeline", "build_supervisor"]
@@ -421,10 +422,12 @@ def _check_train(ctx: Dict) -> bool:
     if not cfg.checkpoint_path.exists():
         return False
     try:
-        with np.load(cfg.checkpoint_path, allow_pickle=False) as data:
-            return int(data["meta/steps_done"][0]) >= cfg.n_steps
-    except Exception:  # noqa: BLE001 - any unreadable checkpoint fails check
+        data = read_npz(
+            cfg.checkpoint_path, what="checkpoint", required=("meta/steps_done",)
+        )
+    except (ValueError, OSError):  # an unreadable checkpoint fails the check
         return False
+    return int(data["meta/steps_done"][0]) >= cfg.n_steps
 
 
 # --------------------------------------------------------------------------
@@ -441,19 +444,13 @@ def _stage_eval(ctx: Dict) -> Dict:
     """
     from repro.collector.rollout import run_policy
     from repro.core.networks import SagePolicy
+    from repro.nn.serial import read_policy_params
     from repro.serve.client import ServedAgent
     from repro.serve.engine import PolicyServer, ServeConfig
 
     cfg: PipelineConfig = ctx["config"]
     policy = SagePolicy(_net_config(cfg), np.random.default_rng(0))
-    with np.load(cfg.checkpoint_path, allow_pickle=False) as data:
-        policy.load_state_dict(
-            {
-                key[len("policy/"):]: data[key]
-                for key in data.files
-                if key.startswith("policy/")
-            }
-        )
+    policy.load_state_dict(read_policy_params(cfg.checkpoint_path))
     serve_cfg = ServeConfig(deterministic=True, tick_budget=None)
     server = PolicyServer(policy, serve_cfg, chaos=ctx.get("chaos"))
     agent = ServedAgent(
@@ -494,9 +491,7 @@ def _stage_eval(ctx: Dict) -> Dict:
         "mean_reward": float(np.mean(result.rewards)),
         "serve": metrics,
     }
-    tmp = cfg.eval_path.with_name(cfg.eval_path.name + ".tmp")
-    tmp.write_text(json.dumps(summary, indent=1) + "\n")
-    os.replace(tmp, cfg.eval_path)
+    write_json(cfg.eval_path, summary)
     summary["events"] = events
     return summary
 

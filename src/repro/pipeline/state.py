@@ -15,11 +15,12 @@ supervisor restarts that stage on resume.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
+
+from repro.io import write_json
 
 __all__ = ["StageState", "PipelineState", "STATUSES"]
 
@@ -122,11 +123,7 @@ class PipelineState:
 
     def save(self, path) -> None:
         """Atomic tmp-then-rename write; survives kill -9 at any instant."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.to_json(), indent=1) + "\n")
-        os.replace(tmp, path)
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "PipelineState":

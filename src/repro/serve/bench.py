@@ -24,9 +24,7 @@ the *fidelity* of tiered serving: the winning-rate delta vs NN-only.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -422,7 +420,3 @@ def format_report(result: dict) -> str:
             f"({w['elapsed_s']:.2f}s elapsed)"
         )
     return "\n".join(lines)
-
-
-def write_report(result: dict, path) -> None:
-    Path(path).write_text(json.dumps(result, indent=1) + "\n")

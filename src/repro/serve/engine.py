@@ -39,15 +39,14 @@ from __future__ import annotations
 
 import copy
 import time
-import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.collector.gr_unit import STATE_DIM, normalize_state
 from repro.core.networks import FastPolicy, SagePolicy
+from repro.nn.serial import read_policy_params
 from repro.resources import MemoryGuard
 from repro.serve.fallback import RatioFallback, make_fallback
 from repro.serve.metrics import ServingMetrics
@@ -474,7 +473,7 @@ class PolicyServer:
     def snapshot(self, path) -> None:
         """Persist the complete per-flow serving state (see serve.state).
 
-        Atomic (tmp-then-replace) with a CRC32 sidecar; a server restored
+        Atomic, with an in-archive integrity record; a server restored
         from the file continues the decision stream bit-identically.
         """
         save_snapshot(self, path)
@@ -514,23 +513,6 @@ class PolicyServer:
             return warning
         return None
 
-    def _read_policy_params(self, path) -> Dict[str, np.ndarray]:
-        """Read a policy state dict from an agent- or trainer-format npz."""
-        path = Path(path)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                keys = list(data.files)
-                if any(k.startswith("policy/") for k in keys):
-                    return {
-                        k[len("policy/"):]: data[k]
-                        for k in keys if k.startswith("policy/")
-                    }
-                return {k: data[k] for k in keys}
-        except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-            raise ValueError(
-                f"checkpoint {path} is not a valid .npz archive: {exc}"
-            ) from exc
-
     def reload_policy(
         self,
         path,
@@ -554,7 +536,7 @@ class PolicyServer:
         """
         report: Dict = {"path": str(path), "accepted": False, "reason": ""}
         try:
-            state = self._read_policy_params(path)
+            state = read_policy_params(path)
             candidate = copy.deepcopy(self.policy)
             candidate.load_state_dict(state)
             fast = FastPolicy(candidate)

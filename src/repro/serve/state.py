@@ -8,11 +8,11 @@ policy handles worst. A snapshot captures the **complete** decision-
 relevant state, so a server killed mid-workload and restored from its last
 snapshot emits a decision stream bitwise identical to one that never died.
 
-File format: one ``.npz`` (tmp-then-``os.replace``) with a CRC32 sidecar —
-the same atomicity/integrity contract as train checkpoints and distilled
-controllers. Numeric columns are stored as arrays; sessions, RNG states,
-pending submissions' metadata, and metrics ride in an embedded JSON blob
-(Python's ``json`` round-trips floats exactly, so nothing is lossy).
+File format: one ``.npz`` written and verified by :mod:`repro.io` (atomic
+replace, in-archive integrity record), like every other artifact. Numeric
+columns are stored as arrays; sessions, RNG states, pending submissions'
+metadata, and metrics ride in an embedded JSON blob (Python's ``json``
+round-trips floats exactly, so nothing is lossy).
 
 What is *not* captured: the policy weights. A snapshot pairs with the
 checkpoint the server was built from; restoring into a server holding
@@ -23,10 +23,6 @@ shapes differ, so keep checkpoints and snapshots together.
 from __future__ import annotations
 
 import json
-import os
-import zipfile
-import zlib
-from pathlib import Path
 from typing import Dict, TYPE_CHECKING
 
 import numpy as np
@@ -34,6 +30,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.engine import PolicyServer
 
+from repro.io import read_npz, write_npz
 from repro.serve.fallback import make_fallback
 from repro.serve.metrics import ServingMetrics
 
@@ -44,49 +41,9 @@ SNAPSHOT_SCHEMA_VERSION = 1
 _COLUMNS = ("last_ratio", "cwnd_est", "miss_streak", "degraded", "nn_age")
 
 
-def _write_npz_atomic(path: Path, payload: Dict[str, np.ndarray]) -> None:
-    """tmp-then-replace ``.npz`` write plus a CRC32 sidecar."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez_compressed(fh, **payload)
-    os.replace(tmp, path)
-    crc = 0
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            crc = zlib.crc32(block, crc)
-    sidecar = path.with_name(path.name + ".crc32")
-    tmp = sidecar.with_name(sidecar.name + ".tmp")
-    tmp.write_text(
-        json.dumps({"crc32": crc & 0xFFFFFFFF, "bytes": path.stat().st_size})
-        + "\n"
-    )
-    os.replace(tmp, sidecar)
-
-
-def _verify_sidecar(path: Path) -> None:
-    sidecar = path.with_name(path.name + ".crc32")
-    if not sidecar.exists():
-        return
-    expected = json.loads(sidecar.read_text())
-    crc = 0
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            crc = zlib.crc32(block, crc)
-    if (
-        (crc & 0xFFFFFFFF) != int(expected["crc32"])
-        or path.stat().st_size != int(expected["bytes"])
-    ):
-        raise ValueError(
-            f"server snapshot {path} fails its integrity check (crc/size "
-            f"mismatch vs {sidecar.name}); refusing to load"
-        )
-
-
 # ---------------------------------------------------------------------------
 def save_snapshot(server: "PolicyServer", path) -> None:
     """Atomically persist the server's complete per-flow serving state."""
-    path = Path(path)
     sessions = []
     for flow_id, sess in server._sessions.items():
         entry: Dict = {
@@ -137,7 +94,7 @@ def save_snapshot(server: "PolicyServer", path) -> None:
         "pending/states": pending_states,
         "pending/cwnd": pending_cwnd,
     }
-    _write_npz_atomic(path, payload)
+    write_npz(path, payload)
 
 
 def load_snapshot(server: "PolicyServer", path) -> None:
@@ -149,39 +106,24 @@ def load_snapshot(server: "PolicyServer", path) -> None:
     """
     from repro.serve.engine import _FlowSession  # local: import cycle
 
-    path = Path(path)
-    _verify_sidecar(path)
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
+    data = read_npz(path, what="server snapshot", required=("meta/json",))
+    meta = json.loads(data["meta/json"].tobytes().decode("utf-8"))
+    version = int(meta.get("schema_version", -1))
+    if version != SNAPSHOT_SCHEMA_VERSION:
         raise ValueError(
-            f"server snapshot {path} is not a valid .npz archive: {exc}"
-        ) from exc
-    with data:
-        if "meta/json" not in data.files:
-            raise ValueError(
-                f"server snapshot {path} is missing meta/json; not a "
-                f"snapshot file"
-            )
-        meta = json.loads(bytes(data["meta/json"]).decode("utf-8"))
-        version = int(meta.get("schema_version", -1))
-        if version != SNAPSHOT_SCHEMA_VERSION:
-            raise ValueError(
-                f"server snapshot {path} has schema version {version}; "
-                f"this build reads version {SNAPSHOT_SCHEMA_VERSION}"
-            )
-        if int(meta["hdim"]) != server._hdim:
-            raise ValueError(
-                f"server snapshot {path} was taken with hidden dim "
-                f"{meta['hdim']}; this server's policy has {server._hdim} "
-                f"— snapshot and checkpoint do not pair"
-            )
-        table = np.asarray(data["cols/table"], dtype=np.float64)
-        cols = {
-            name: np.asarray(data[f"cols/{name}"]) for name in _COLUMNS
-        }
-        pending_states = np.asarray(data["pending/states"])
-        pending_cwnd = np.asarray(data["pending/cwnd"])
+            f"server snapshot {path} has schema version {version}; "
+            f"this build reads version {SNAPSHOT_SCHEMA_VERSION}"
+        )
+    if int(meta["hdim"]) != server._hdim:
+        raise ValueError(
+            f"server snapshot {path} was taken with hidden dim "
+            f"{meta['hdim']}; this server's policy has {server._hdim} "
+            f"— snapshot and checkpoint do not pair"
+        )
+    table = np.asarray(data["cols/table"], dtype=np.float64)
+    cols = {name: data[f"cols/{name}"] for name in _COLUMNS}
+    pending_states = data["pending/states"]
+    pending_cwnd = data["pending/cwnd"]
 
     server._table = table.reshape(int(meta["capacity"]), server._hdim)
     server._last_ratio = cols["last_ratio"].astype(np.float64)

@@ -38,8 +38,6 @@ short-circuit them after round 0.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import shutil
 import time
 from pathlib import Path
@@ -48,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.chaos.process import DEFAULT_RATES, FaultProcess
+from repro.io import read_npz, write_json, write_npz
 from repro.soak.report import (
     SOAK_SCHEMA_VERSION,
     FaultObserver,
@@ -161,18 +160,12 @@ def _pipe_config(cfg: SoakConfig, root: Path, n_steps: int):
 def _load_serving_policy(cfg: SoakConfig, pipe_cfg):
     """The trained policy if a checkpoint exists, else a seed-0 init."""
     from repro.core.networks import SagePolicy
+    from repro.nn.serial import read_policy_params
     from repro.pipeline.stages import _net_config
 
     policy = SagePolicy(_net_config(pipe_cfg), np.random.default_rng(0))
     if pipe_cfg.checkpoint_path.exists():
-        with np.load(pipe_cfg.checkpoint_path, allow_pickle=False) as data:
-            policy.load_state_dict(
-                {
-                    key[len("policy/"):]: data[key]
-                    for key in data.files
-                    if key.startswith("policy/")
-                }
-            )
+        policy.load_state_dict(read_policy_params(pipe_cfg.checkpoint_path))
     return policy
 
 
@@ -232,10 +225,7 @@ class _Soak:
         self.violations.append({"invariant": invariant, "detail": detail})
 
     def _save_journal(self, root: Path) -> None:
-        path = root / "soak_journal.json"
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.journal, indent=1) + "\n")
-        os.replace(tmp, path)
+        write_json(root / "soak_journal.json", self.journal)
 
     # -- chaos ----------------------------------------------------------
     def _injector(self, round_index: int, pipe_cfg):
@@ -380,15 +370,17 @@ class _Soak:
                 f"round {r}: restored decision stream diverged at "
                 f"record {first} of {len(want)}",
             )
-        for path in (snap, Path(str(snap) + ".crc32")):
-            if path.exists():
-                path.unlink()
+        snap.unlink()
         self.note(r, "serve", exercise="snapshot-restore",
                   records=len(want), identical=got == want)
 
     def _exercise_hot_reload(self, r: int, server, pipe_cfg) -> None:
         """A good checkpoint hot-swaps in; a NaN-poisoned copy must be
-        rejected by shadow validation with the old policy still serving."""
+        rejected by shadow validation with the old policy still serving.
+
+        The poisoned copy carries a valid integrity record, so its
+        rejection can only come from shadow validation — not from the
+        container check refusing the file."""
         good = server.reload_policy(pipe_cfg.checkpoint_path)
         if not good["accepted"]:
             self.violate(
@@ -396,20 +388,25 @@ class _Soak:
                 f"round {r}: valid checkpoint refused: {good['reason']}",
             )
         poisoned = self.root / f"soak_poisoned_r{r}.npz"
-        with np.load(pipe_cfg.checkpoint_path, allow_pickle=False) as data:
-            payload = {key: data[key] for key in data.files}
+        payload = read_npz(pipe_cfg.checkpoint_path, what="checkpoint")
         for key in payload:
             if key.startswith("policy/"):
                 arr = payload[key].astype(np.float64).copy()
                 arr.flat[0] = np.nan
                 payload[key] = arr
                 break
-        np.savez_compressed(poisoned, **payload)
+        write_npz(poisoned, payload)
         bad = server.reload_policy(poisoned)
         if bad["accepted"]:
             self.violate(
                 "poisoned-reload-rejected",
                 f"round {r}: NaN-poisoned checkpoint was accepted",
+            )
+        elif not bad["reason"].startswith("shadow validation"):
+            self.violate(
+                "poisoned-reload-rejected",
+                f"round {r}: NaN-poisoned checkpoint rejected for the wrong "
+                f"reason: {bad['reason']}",
             )
         poisoned.unlink()
         probe = _serve_states(self.cfg, r + 20_000, 1)
@@ -512,8 +509,8 @@ class _Soak:
 
 
 def _checkpoint_arrays(path: Path) -> Dict[str, bytes]:
-    with np.load(path, allow_pickle=False) as data:
-        return {key: data[key].tobytes() for key in data.files}
+    data = read_npz(path, what="checkpoint")
+    return {key: value.tobytes() for key, value in data.items()}
 
 
 def _compare_artifacts(chaos_root: Path, clean_root: Path) -> Dict:

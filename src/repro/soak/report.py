@@ -11,12 +11,11 @@ verify-repair completion, the next serving tick), never earlier.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
+
+from repro.io import write_json
 
 __all__ = [
     "SOAK_SCHEMA_VERSION",
@@ -154,12 +153,7 @@ def evaluate_slos(
 
 def write_soak_report(report: Dict, path) -> None:
     """Atomically write ``BENCH_soak.json``."""
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(report, indent=1, sort_keys=False) + "\n")
-    os.replace(tmp, path)
+    write_json(path, report)
 
 
 def format_soak_report(report: Dict) -> str:

@@ -10,9 +10,7 @@ tracks the legacy one within the pinned tolerance.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -295,7 +293,3 @@ def format_report(result: dict) -> str:
         if scaling.get("note"):
             lines.append(f"note: {scaling['note']}")
     return "\n".join(lines)
-
-
-def write_report(result: dict, path) -> None:
-    Path(path).write_text(json.dumps(result, indent=1) + "\n")

@@ -31,11 +31,7 @@ regression test pins this tolerance.
 from __future__ import annotations
 
 import json
-import os
 import time
-import zipfile
-import zlib
-from pathlib import Path
 from typing import Dict, Optional
 
 import numpy as np
@@ -43,6 +39,7 @@ import numpy as np
 from repro.collector.pool import PolicyPool
 from repro.core.crr import CRRConfig, CRRTrainer, MetricsCallback
 from repro.core.networks import NetworkConfig, log_action
+from repro.io import read_npz, write_npz
 from repro.nn.autograd import Tensor
 from repro.nn.functional import softmax_np
 from repro.nn.optim import clip_grad_norm
@@ -451,17 +448,17 @@ class FastCRRTrainer(CRRTrainer):
             payload[f"meta/history/{key}"] = np.asarray(values, dtype=np.float64)
         return payload
 
-    def _apply_payload(self, data, keys) -> None:
+    def _apply_payload(self, data: Dict[str, np.ndarray]) -> None:
         # The worker layout selects the RNG-stream decomposition (one
         # trainer stream vs per-(step, grain) streams), so a checkpoint is
         # only resumable under the layout that wrote it. Checked before any
         # state is mutated. Pre-parallel checkpoints carry no layout keys
         # and mean the single-process layout (0, 0).
         saved_workers = (
-            int(data["meta/grad_workers"][0]) if "meta/grad_workers" in keys else 0
+            int(data["meta/grad_workers"][0]) if "meta/grad_workers" in data else 0
         )
         saved_grains = (
-            int(data["meta/grad_grains"][0]) if "meta/grad_grains" in keys else 0
+            int(data["meta/grad_grains"][0]) if "meta/grad_grains" in data else 0
         )
         if (saved_workers, saved_grains) != (self.grad_workers, self.grad_grains):
             raise ValueError(
@@ -480,7 +477,7 @@ class FastCRRTrainer(CRRTrainer):
         for prefix, net in nets:
             state = {
                 key[len(prefix) + 1 :]: data[key]
-                for key in keys
+                for key in data
                 if key.startswith(f"{prefix}/")
             }
             net.load_state_dict(state)
@@ -497,7 +494,7 @@ class FastCRRTrainer(CRRTrainer):
         self.sampler.seek(int(data["meta/batch_index"][0]))
         for key in self.history:
             hk = f"meta/history/{key}"
-            if hk in keys:  # absent in pre-resilience checkpoints
+            if hk in data:  # absent in pre-resilience checkpoints
                 self.history[key].clear()
                 self.history[key].extend(np.asarray(data[hk]).tolist())
 
@@ -508,65 +505,23 @@ class FastCRRTrainer(CRRTrainer):
     def restore_state(self, snapshot: Dict[str, np.ndarray]) -> None:
         """Rewind to a :meth:`capture_state` snapshot (bit-exact)."""
         self._apply_payload(
-            {k: np.array(v, copy=True) for k, v in snapshot.items()},
-            list(snapshot.keys()),
+            {k: np.array(v, copy=True) for k, v in snapshot.items()}
         )
 
     def save_checkpoint(self, path: str) -> None:
-        """Atomically write the full training state, with a CRC sidecar.
+        """Atomically write the full training state (:func:`write_npz`).
 
-        The payload goes to a ``*.tmp`` file first and is ``os.replace``d
-        into place — a crash mid-write can never leave a truncated
-        checkpoint under the real name. ``<path>.crc32`` records the
-        final file's checksum so :meth:`load_checkpoint` can reject silent
-        corruption. (The npz is written through an open handle because
-        ``np.savez`` appends ``.npz`` to bare paths.)
+        The in-archive integrity record lets :meth:`load_checkpoint`
+        reject silent corruption, and the single atomic replace means a
+        crash at any instant leaves the previous good checkpoint or the
+        new one under ``path``, never a torn file.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **self._state_payload())
-        os.replace(tmp, path)
-        crc = 0
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                crc = zlib.crc32(block, crc)
-        sidecar = path.with_name(path.name + ".crc32")
-        tmp = sidecar.with_name(sidecar.name + ".tmp")
-        tmp.write_text(
-            json.dumps({"crc32": crc & 0xFFFFFFFF, "bytes": path.stat().st_size})
-            + "\n"
-        )
-        os.replace(tmp, sidecar)
+        write_npz(path, self._state_payload())
 
     def load_checkpoint(self, path: str) -> None:
         """Restore a :meth:`save_checkpoint` file, verifying integrity.
 
-        When the ``.crc32`` sidecar exists the file's checksum and size
-        must match it; a corrupt or truncated archive raises ``ValueError``
-        rather than half-loading state.
+        A corrupt or truncated archive raises ``ValueError`` rather than
+        half-loading state.
         """
-        path = Path(path)
-        sidecar = path.with_name(path.name + ".crc32")
-        if sidecar.exists():
-            expected = json.loads(sidecar.read_text())
-            crc = 0
-            with open(path, "rb") as fh:
-                for block in iter(lambda: fh.read(1 << 20), b""):
-                    crc = zlib.crc32(block, crc)
-            if (
-                (crc & 0xFFFFFFFF) != int(expected["crc32"])
-                or path.stat().st_size != int(expected["bytes"])
-            ):
-                raise ValueError(
-                    f"checkpoint {path} fails its integrity check "
-                    f"(crc/size mismatch vs {sidecar.name}); refusing to load"
-                )
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                self._apply_payload(data, list(data.files))
-        except (zipfile.BadZipFile, EOFError) as exc:
-            raise ValueError(
-                f"checkpoint {path} is not a valid .npz archive: {exc}"
-            ) from exc
+        self._apply_payload(read_npz(path, what="checkpoint"))

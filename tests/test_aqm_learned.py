@@ -1,10 +1,9 @@
 """Tests for the learned-ECN stack: predictor, telemetry, fitter, factory."""
 
-import json
-
 import numpy as np
 import pytest
 
+from repro.io import read_npz, write_npz
 from repro.netsim.aqm import LearnedECN, make_aqm
 from repro.netsim.ecn_model import (
     EcnPredictor,
@@ -84,9 +83,6 @@ class TestEcnPredictor:
         assert np.array_equal(m.w2, loaded.w2)
         assert np.array_equal(m.b2, loaded.b2)
         assert loaded.meta["note"] == "roundtrip"
-        # and the sidecar matches the file on disk
-        sidecar = json.loads((tmp_path / "ecn.npz.crc32").read_text())
-        assert sidecar["bytes"] == path.stat().st_size
 
     def test_corrupt_checkpoint_raises_value_error(self, tmp_path):
         m = EcnPredictor.init(seed=9)
@@ -106,7 +102,7 @@ class TestEcnPredictor:
 
     def test_missing_keys_raises_value_error(self, tmp_path):
         path = tmp_path / "other.npz"
-        np.savez(path, unrelated=np.zeros(3))
+        write_npz(path, {"unrelated": np.zeros(3)})
         with pytest.raises(ValueError, match="missing keys"):
             EcnPredictor.load(path)
 
@@ -114,10 +110,9 @@ class TestEcnPredictor:
         m = EcnPredictor.init(seed=0)
         path = tmp_path / "ecn.npz"
         m.save(path)
-        data = dict(np.load(path, allow_pickle=False))
+        data = read_npz(path, what="ECN predictor checkpoint")
         data["meta/schema_version"] = np.array([SCHEMA_VERSION + 1], dtype=np.int64)
-        np.savez(path, **data)
-        (tmp_path / "ecn.npz.crc32").unlink()  # stale sidecar would trip first
+        write_npz(path, data)
         with pytest.raises(ValueError, match="schema version"):
             EcnPredictor.load(path)
 
@@ -178,15 +173,15 @@ class TestTelemetryRecorder:
 
     def test_load_rejects_foreign_npz(self, tmp_path):
         path = tmp_path / "foreign.npz"
-        np.savez(path, something=np.zeros(2))
+        write_npz(path, {"something": np.zeros(2)})
         with pytest.raises(ValueError, match="missing keys"):
             load_traces(path)
 
     def test_load_rejects_wrong_version(self, tmp_path):
         path = tmp_path / "old.npz"
-        np.savez(
+        write_npz(
             path,
-            **{
+            {
                 "meta/schema_version": np.array(
                     [TRACE_SCHEMA_VERSION + 1], dtype=np.int64
                 ),

@@ -21,6 +21,7 @@ from repro.datastore import (
     store_stats,
     verify,
 )
+from repro.io import read_npz, write_npz
 
 STATE_DIM = 69
 
@@ -253,10 +254,9 @@ class TestPersistenceEdgeCases:
         path = tmp_path / "p.npz"
         make_pool(n_traj=1).save(path)
         # rewrite the meta entry into nonsense
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files}
+        payload = read_npz(path, what="pool file")
         payload["meta"] = np.array(["only-one-field"])
-        np.savez_compressed(path, **payload)
+        write_npz(path, payload)
         with pytest.raises(ValueError, match="malformed pool meta"):
             PolicyPool.load(path)
 

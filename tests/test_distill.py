@@ -1,7 +1,5 @@
 """Tests for the symbolic distillation subsystem (repro.distill)."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -21,6 +19,7 @@ from repro.distill import (
     fit_distilled,
     hidden_summary,
 )
+from repro.io import write_npz
 
 TINY = NetworkConfig(enc_dim=16, gru_dim=16, n_components=3, n_atoms=7)
 
@@ -240,14 +239,6 @@ class TestCheckpoint:
             distilled.tree.predict(x)[0], loaded.tree.predict(x)[0]
         )
 
-    def test_sidecar_written(self, policy, tmp_path):
-        path = tmp_path / "tree.npz"
-        self._distilled(policy).save(path)
-        sidecar = tmp_path / "tree.npz.crc32"
-        assert sidecar.exists()
-        meta = json.loads(sidecar.read_text())
-        assert meta["bytes"] == path.stat().st_size
-
     def test_corrupt_bytes_raise_value_error(self, policy, tmp_path):
         path = tmp_path / "tree.npz"
         self._distilled(policy).save(path)
@@ -283,7 +274,7 @@ class TestCheckpoint:
 
     def test_missing_keys_rejected(self, policy, tmp_path):
         path = tmp_path / "tree.npz"
-        np.savez(path, **{"meta/schema_version": np.array([1])})
+        write_npz(path, {"meta/schema_version": np.array([1])})
         with pytest.raises(ValueError, match="missing keys"):
             DistilledPolicy.load(path)
 

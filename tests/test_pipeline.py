@@ -260,6 +260,11 @@ class _BoundaryKill(Exception):
     """Stands in for process death exactly at a stage boundary."""
 
 
+class _ProcessDeath(BaseException):
+    """Process death mid-stage: the supervisor can neither catch nor
+    journal it, so the stage is left ``running`` like after ``kill -9``."""
+
+
 class TestKillResume:
     def test_killed_at_every_stage_boundary_then_resumed(
         self, tmp_path, clean_run
@@ -347,6 +352,42 @@ sup.run(config=cfg.to_json())
         assert any(e["kind"] == "train-resume" for e in info["events"])
         a = _checkpoint_arrays(clean_cfg.checkpoint_path)
         b = _checkpoint_arrays(cfg.checkpoint_path)
+        for key in a:
+            assert a[key] == b[key], key
+
+
+    def test_kill_right_after_checkpoint_commit_resumes(
+        self, tmp_path, clean_run, monkeypatch
+    ):
+        # Die the instant the step-2 checkpoint is renamed into place; the
+        # committed checkpoint must be resumed from, not discarded.
+        clean_cfg, _ = clean_run
+        cfg = _config(tmp_path / "run")
+        real_replace = os.replace
+        commits = []
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            if os.fspath(dst) == os.fspath(cfg.checkpoint_path):
+                commits.append(dst)
+                if len(commits) == 2:  # checkpoint_every=1: step 2's commit
+                    raise _ProcessDeath
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(_ProcessDeath):
+            build_supervisor(cfg).run(config=cfg.to_json())
+        monkeypatch.setattr(os, "replace", real_replace)
+
+        state = build_supervisor(cfg).run(resume=True, config=cfg.to_json())
+        assert state.complete
+        events = state.stage("train").info["events"]
+        kinds = [e["kind"] for e in events]
+        assert "corrupt-checkpoint" not in kinds, events
+        resume = next(e for e in events if e["kind"] == "train-resume")
+        assert "step 2" in resume["detail"]
+        a = _checkpoint_arrays(clean_cfg.checkpoint_path)
+        b = _checkpoint_arrays(cfg.checkpoint_path)
+        assert a.keys() == b.keys()
         for key in a:
             assert a[key] == b[key], key
 

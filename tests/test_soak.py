@@ -7,7 +7,7 @@ Covers the new robustness machinery end to end:
   one-shot guarantee it inherits by materializing to a ``FaultPlan``;
 - ``PolicyServer.snapshot()/restore()``: bit-identical decision streams
   across an in-process restore **and** a real ``kill -9``, corrupt
-  snapshots refused via the CRC sidecar;
+  snapshots refused by the in-archive integrity record;
 - ``reload_policy``: hot swap accepted for a good checkpoint, a
   NaN-poisoned one rejected by shadow validation with the old policy
   still serving, the optional divergence gate;
@@ -23,8 +23,10 @@ Covers the new robustness machinery end to end:
 import errno
 import json
 import signal
+import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,8 @@ from repro.chaos import DEFAULT_RATES, FaultProcess
 from repro.collector.gr_unit import STATE_DIM
 from repro.core.networks import NetworkConfig, SagePolicy
 from repro.datastore import ShardWriter, StoreFullError, verify_store
+from repro.io import write_npz
+from repro.nn.serial import save_params
 from repro.resources import MemoryGuard, rss_bytes
 from repro.serve.engine import PolicyServer, ServeConfig
 from repro.serve.metrics import ServingMetrics
@@ -325,7 +329,7 @@ class TestHotReload:
 
     def test_good_checkpoint_swaps_in(self, tmp_path, policy):
         other = SagePolicy(TINY, np.random.default_rng(1))
-        np.savez(tmp_path / "ck.npz", **other.state_dict())
+        write_npz(tmp_path / "ck.npz", other.state_dict())
         server = self._server(policy)
         report = server.reload_policy(tmp_path / "ck.npz")
         assert report["accepted"], report["reason"]
@@ -340,7 +344,7 @@ class TestHotReload:
         params = SagePolicy(TINY, np.random.default_rng(1)).state_dict()
         key = sorted(params)[0]
         params[key] = np.full_like(params[key], np.nan)
-        np.savez(tmp_path / "bad.npz", **params)
+        write_npz(tmp_path / "bad.npz", params)
         server = self._server(policy)
         server.connect(0)
         before = server.policy
@@ -361,12 +365,36 @@ class TestHotReload:
         report = server.reload_policy(tmp_path / "missing.npz")
         assert not report["accepted"]
 
+    def test_deflate_breaking_flip_rejected_not_raised(self, tmp_path, policy):
+        # a flip that breaks a member's deflate stream surfaces from the
+        # container as zlib.error; reload must report it, never raise
+        path = tmp_path / "ck.npz"
+        save_params(SagePolicy(TINY, np.random.default_rng(1)), path)
+        raw = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as zf:
+            offset = zf.infolist()[0].header_offset
+        name_len, extra_len = struct.unpack(
+            "<HH", bytes(raw[offset + 26:offset + 30])
+        )
+        raw[offset + 30 + name_len + extra_len] |= 0b110  # BTYPE 11: reserved
+        path.write_bytes(bytes(raw))
+        server = self._server(policy)
+        server.connect(0)
+        before = server.policy
+        report = server.reload_policy(path)
+        assert not report["accepted"]
+        assert report["reason"].startswith("unusable checkpoint:")
+        assert server.policy is before
+        server.submit(0, _serve_states(0, 1, 1)[0, 0], cwnd=20.0)
+        (decision,) = server.tick().values()
+        assert np.isfinite(decision.ratio) and decision.ratio > 0
+
     def test_divergence_gate(self, tmp_path, policy):
-        np.savez(tmp_path / "same.npz", **policy.state_dict())
+        write_npz(tmp_path / "same.npz", policy.state_dict())
         far = SagePolicy(TINY, np.random.default_rng(99))
         for arr in far.state_dict().values():
             arr *= 50.0
-        np.savez(tmp_path / "far.npz", **far.state_dict())
+        write_npz(tmp_path / "far.npz", far.state_dict())
         server = self._server(policy)
         same = server.reload_policy(
             tmp_path / "same.npz", max_log_ratio_shift=1e-9

@@ -31,6 +31,7 @@ from repro.collector.pool import PolicyPool, Trajectory
 from repro.core.crr import CRRConfig, CRRTrainer
 from repro.core.networks import NetworkConfig
 from repro.core.training import train_sage_on_pool
+from repro.io import read_npz, write_npz
 from repro.train.engine import FastCRRTrainer
 from repro.train.guard import DivergenceGuard, GuardConfig
 from repro.train.parallel import (
@@ -235,13 +236,11 @@ class TestCheckpointLayout:
         a = FastCRRTrainer(pool, net_config=TINY, config=CFG, seed=0)
         a.train(1)
         a.save_checkpoint(ckpt)
-        with np.load(ckpt, allow_pickle=False) as data:
-            payload = {
-                k: data[k] for k in data.files
-                if not k.startswith("meta/grad_")
-            }
-        np.savez_compressed(ckpt, **payload)
-        ckpt.with_name(ckpt.name + ".crc32").unlink()  # rewrote the archive
+        payload = {
+            k: v for k, v in read_npz(ckpt, what="checkpoint").items()
+            if not k.startswith("meta/grad_")
+        }
+        write_npz(ckpt, payload)
         b = FastCRRTrainer(pool, net_config=TINY, config=CFG, seed=0)
         b.load_checkpoint(ckpt)
         assert b.steps_done == 1

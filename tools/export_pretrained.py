@@ -23,7 +23,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -41,6 +40,7 @@ from repro.collector.parallel import collect_pool_parallel  # noqa: E402
 from repro.core.agent import SageAgent  # noqa: E402
 from repro.core.crr import CRRConfig, CRRTrainer  # noqa: E402
 from repro.core.networks import NetworkConfig  # noqa: E402
+from repro.io import write_json  # noqa: E402
 from repro.collector.rollout import run_policy  # noqa: E402
 
 #: the 8-scheme pool the shipped model is trained on
@@ -162,7 +162,7 @@ def main(argv=None) -> int:
         "n_envs": len(envs),
         "seed": args.seed,
     }
-    meta_path.write_text(json.dumps(meta, indent=1) + "\n")
+    write_json(meta_path, meta)
     print(f"wrote {model_path} + {meta_path}", flush=True)
     return 0
 
