@@ -8,7 +8,8 @@ and symmetric propagation delay setting the minimum RTT.
 
 The public surface:
 
-- :class:`~repro.netsim.engine.EventLoop` — the simulation clock.
+- :class:`~repro.netsim.engine.EventLoop` — the simulation clock, and
+  :class:`~repro.netsim.engine.Timer`, its re-armable one-shot timer.
 - :class:`~repro.netsim.packet.Packet` — what flows through the network.
 - :class:`~repro.netsim.link.Link` — the bottleneck: queue + service process.
 - :mod:`~repro.netsim.aqm` — TailDrop, HeadDrop, CoDel, PIE, BoDe, plus the
@@ -24,7 +25,7 @@ The public surface:
   loss, and AQM; ``Network`` is its dumbbell facade.
 """
 
-from repro.netsim.engine import EventLoop
+from repro.netsim.engine import EventLoop, Timer
 from repro.netsim.packet import Packet, MSS_BYTES
 from repro.netsim.link import Link
 from repro.netsim.network import Network, PathConfig, make_network
@@ -68,6 +69,7 @@ from repro.netsim.topo import (
 
 __all__ = [
     "EventLoop",
+    "Timer",
     "Packet",
     "MSS_BYTES",
     "Link",

@@ -108,7 +108,7 @@ class Network:
                 f"flow {pkt.flow_id} is not attached to this network; "
                 f"attach_flow() it before sending data"
             )
-        self._view.send_data(pkt)
+        self.topology.send_data(pkt)
 
     # -- ack path ----------------------------------------------------------
     def send_ack(self, ack: Packet) -> None:
@@ -118,7 +118,7 @@ class Network:
                 f"flow {ack.flow_id} is not attached to this network; "
                 f"attach_flow() it before sending ACKs"
             )
-        self._view.send_ack(ack)
+        self.topology.send_ack(ack)
 
     # -- introspection -------------------------------------------------------
     def min_rtt(self, flow_id: int) -> float:

@@ -60,6 +60,8 @@ class Packet:
         self.is_retx = is_retx
         self.ack_seq = ack_seq
         self.sacked_seq = sacked_seq
+        #: ACKs: missing sequences below ``sacked_seq``, ascending (the
+        #: receiver reports the first 128 within 1024 of ``ack_seq``)
         self.sack_holes = sack_holes
         self.ack_of_sent_time = ack_of_sent_time
         self.delivered_at: Optional[float] = None

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.netsim.aqm import AQM, ECN_CAPABLE_AQMS, make_aqm
@@ -370,12 +371,13 @@ class Topology:
             if jitter > 0:
                 delay += self._jitter_rng.random() * jitter
             self.delivered_by_flow[pkt.flow_id] += 1
-            sink = route.data_sink
-            self.loop.call_later(delay, lambda p=pkt: self._deliver(sink, p))
+            self.loop.call_at(self.loop.now + delay,
+                              partial(self._deliver, route.data_sink, pkt))
         else:
             if link.jitter > 0:
                 delay += self._jitter_rng.random() * link.jitter
-            self.loop.call_later(delay, lambda p=pkt, l=next_link: self._forward(l, p))
+            self.loop.call_at(self.loop.now + delay,
+                              partial(self._forward, next_link, pkt))
 
     def _deliver(self, sink: Callable[[Packet], None], pkt: Packet) -> None:
         if pkt.flow_id not in self._routes:
@@ -402,10 +404,8 @@ class Topology:
                 f"flow {ack.flow_id} is not attached to this topology; "
                 f"attach_flow() it before sending ACKs"
             )
-        sink = route.ack_sink
-        self.loop.call_later(
-            route.path.rev_delay, lambda p=ack: self._deliver_ack(sink, p)
-        )
+        self.loop.call_at(self.loop.now + route.path.rev_delay,
+                          partial(self._deliver_ack, route.ack_sink, ack))
 
     def _deliver_ack(self, sink: Callable[[Packet], None], ack: Packet) -> None:
         if ack.flow_id not in self._routes:
@@ -501,19 +501,16 @@ class PathView:
     reverse delay = ``min_rtt/2``.
     """
 
-    __slots__ = ("topology", "nodes", "_prop_sum")
+    __slots__ = ("topology", "loop", "nodes", "_prop_sum")
 
     def __init__(self, topology: Topology, nodes: Tuple[str, ...]) -> None:
         self.topology = topology
+        self.loop: EventLoop = topology.loop
         self.nodes = nodes
         self._prop_sum = sum(
             topology.link_between(u, v).prop_delay
             for u, v in zip(nodes, nodes[1:])
         )
-
-    @property
-    def loop(self) -> EventLoop:
-        return self.topology.loop
 
     def attach_flow(self, flow_id, path, data_sink, ack_sink) -> None:
         extra_fwd = max(path.fwd_delay - self._prop_sum, 0.0)

@@ -19,9 +19,10 @@ like a kernel module mutates ``tcp_sock``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.netsim.engine import EventHandle, EventLoop
+from repro.netsim.engine import EventLoop, Timer
 from repro.netsim.network import Network
 from repro.netsim.packet import ACK_BYTES, MSS_BYTES, Packet
 from repro.tcp.cc_base import CongestionControl
@@ -57,6 +58,7 @@ class TcpReceiver:
         "delayed_acks",
         "delack_timeout",
         "_received",
+        "_holes",
         "rcv_next",
         "max_seq_seen",
         "total_packets",
@@ -80,7 +82,9 @@ class TcpReceiver:
         self.network = network
         self.delayed_acks = delayed_acks
         self.delack_timeout = delack_timeout
-        self._received = set()
+        self._received = set()  # out-of-order sequences above rcv_next
+        #: the sequences missing below max_seq_seen, ascending
+        self._holes: List[int] = []
         self.rcv_next = 0  # next expected sequence number
         self.max_seq_seen = -1
         self.total_packets = 0
@@ -91,7 +95,9 @@ class TcpReceiver:
         self.owd_max = 0.0
         self.acks_sent = 0
         self._delack_pending: Optional[Packet] = None
-        self._delack_timer = None
+        self._delack_timer: Optional[Timer] = (
+            Timer(network.loop, self._on_delack_timeout) if delayed_acks else None
+        )
 
     def on_data(self, pkt: Packet) -> None:
         """Network callback: a data packet arrived; record it and ACK."""
@@ -101,28 +107,28 @@ class TcpReceiver:
         self.owd_count += 1
         if owd > self.owd_max:
             self.owd_max = owd
-        if pkt.seq >= self.rcv_next and pkt.seq not in self._received:
-            self._received.add(pkt.seq)
+        seq = pkt.seq
+        holes_list = self._holes
+        if seq >= self.rcv_next and seq not in self._received:
+            self._received.add(seq)
             self.total_packets += 1
             self.total_bytes += pkt.size
-            if pkt.seq > self.max_seq_seen:
-                self.max_seq_seen = pkt.seq
+            if seq > self.max_seq_seen:
+                # everything skipped over is a new hole, above all older ones
+                holes_list.extend(range(self.max_seq_seen + 1, seq))
+                self.max_seq_seen = seq
+            else:
+                del holes_list[bisect_left(holes_list, seq)]  # a hole filled
             while self.rcv_next in self._received:
                 self._received.discard(self.rcv_next)
                 self.rcv_next += 1
         # SACK-style hole report: sequences missing below the highest seen.
-        # The scan is bounded (first 128 holes within a 1024-seq horizon) so
-        # a pathological overshoot cannot make ACK generation quadratic;
-        # holes beyond the horizon are reported once earlier ones fill.
-        if self.max_seq_seen > self.rcv_next:
-            horizon = min(self.max_seq_seen, self.rcv_next + 1024)
-            holes_list = []
-            for s in range(self.rcv_next, horizon):
-                if s not in self._received:
-                    holes_list.append(s)
-                    if len(holes_list) >= 128:
-                        break
-            holes = tuple(holes_list)
+        # It is bounded (first 128 holes within a 1024-seq horizon) so a
+        # pathological overshoot cannot make ACKs grow without limit; holes
+        # beyond the horizon are reported once earlier ones fill.
+        if holes_list:
+            n = bisect_left(holes_list, self.rcv_next + 1024)
+            holes = tuple(holes_list[: n if n < 128 else 128])
         else:
             holes = ()
         ack = Packet(
@@ -154,33 +160,25 @@ class TcpReceiver:
             return
         if self._delack_pending is not None:
             # second in-order segment: ack both now
-            self._cancel_timer()
+            self._delack_timer.cancel()
             self._delack_pending = None
             self._emit(ack)
             return
         self._delack_pending = ack
-        self._delack_timer = self.network.loop.call_later(
-            self.delack_timeout, self._on_delack_timeout
-        )
+        self._delack_timer.mod(now + self.delack_timeout)
 
     # -- delayed-ack machinery -------------------------------------------
     def _emit(self, ack: Packet) -> None:
         self.acks_sent += 1
         self.network.send_ack(ack)
 
-    def _cancel_timer(self) -> None:
-        if self._delack_timer is not None:
-            self._delack_timer.cancel()
-            self._delack_timer = None
-
     def _flush_pending(self) -> None:
         if self._delack_pending is not None:
-            self._cancel_timer()
+            self._delack_timer.cancel()
             pending, self._delack_pending = self._delack_pending, None
             self._emit(pending)
 
     def _on_delack_timeout(self) -> None:
-        self._delack_timer = None
         self._flush_pending()
 
     @property
@@ -298,7 +296,8 @@ class TcpSender:
         self.total_acks = 0
 
         # -- timers/pacing --
-        self._rto_timer: Optional[EventHandle] = None
+        #: re-armed on every transmit and ACK; dropped by :meth:`stop`
+        self._rto_timer: Optional[Timer] = Timer(self.loop, self._on_rto)
         self._pacing_blocked = False
         self._started = False
         self._stopped = False
@@ -340,6 +339,8 @@ class TcpSender:
         """Stop transmitting and cancel timers."""
         self._stopped = True
         if self._rto_timer is not None:
+            # Drop the timer too: it holds ``self._on_rto``, a cycle that
+            # would leave every finished sender to the cyclic GC.
             self._rto_timer.cancel()
             self._rto_timer = None
 
@@ -364,7 +365,9 @@ class TcpSender:
         return (
             not self._stopped
             and not self._pacing_blocked
-            and self.inflight < self.cwnd
+            # the ``inflight`` property, inlined: this runs once per send
+            and max(len(self._unacked) - len(self._lost_set) - self._sacked_est, 0)
+            < self.cwnd
             and (self.size_pkts is None or self.snd_nxt < self.size_pkts)
         )
 
@@ -410,7 +413,8 @@ class TcpSender:
             return
         now = self.loop.now
         new_cum = ack.ack_seq
-        self._high_sacked = max(self._high_sacked, ack.sacked_seq)
+        if ack.sacked_seq > self._high_sacked:
+            self._high_sacked = ack.sacked_seq
 
         # Exact per-packet RTT sample: every ACK echoes the send time of the
         # data packet that triggered it. Karn's algorithm: skip samples for
@@ -464,8 +468,9 @@ class TcpSender:
             self._sacked_est = 0
             return
         span = coverage_end - self.snd_una + 1
-        holes_in_span = sum(
-            1 for h in ack.sack_holes if self.snd_una <= h <= coverage_end
+        holes = ack.sack_holes  # ascending
+        holes_in_span = bisect_right(holes, coverage_end) - bisect_left(
+            holes, self.snd_una
         )
         self._sacked_est = max(span - holes_in_span, 0)
 
@@ -498,7 +503,8 @@ class TcpSender:
         self._dup_acks = 0
         # Forward progress cancels any RTO exponential backoff (RFC 6298).
         if self.srtt > 0:
-            self.rto = min(max(self.srtt + 4.0 * self.rttvar, RTO_MIN), RTO_MAX)
+            rto = self.srtt + 4.0 * self.rttvar
+            self.rto = RTO_MIN if rto < RTO_MIN else RTO_MAX if rto > RTO_MAX else rto
 
         if n_acked == 0:
             return
@@ -533,7 +539,10 @@ class TcpSender:
 
         if self.ca_state == CA_OPEN and not self.external_cwnd_control:
             self.cc.on_ack(self, n_acked, best_sample, now)
-            self.cwnd = min(max(self.cwnd, CongestionControl.MIN_CWND), self.max_cwnd)
+            cwnd = self.cwnd
+            if cwnd < CongestionControl.MIN_CWND:
+                cwnd = CongestionControl.MIN_CWND
+            self.cwnd = self.max_cwnd if cwnd > self.max_cwnd else cwnd
 
         self._arm_rto()
 
@@ -546,10 +555,13 @@ class TcpSender:
         would, so a burst drop costs one recovery RTT instead of one RTT per
         hole.
         """
-        holes = [
-            h
-            for h in ack.sack_holes
-            if h >= self.snd_una and self._high_sacked - h >= DUPACK_THRESHOLD
+        reported = ack.sack_holes
+        if not reported and self._dup_acks < DUPACK_THRESHOLD:
+            return  # nothing reported missing: the common case
+        # the reported holes (ascending) in [snd_una, high_sacked - 3]
+        holes = reported[
+            bisect_left(reported, self.snd_una):
+            bisect_right(reported, self._high_sacked - DUPACK_THRESHOLD)
         ]
         if not holes and not (
             self._dup_acks >= DUPACK_THRESHOLD and self.ca_state == CA_OPEN
@@ -610,17 +622,20 @@ class TcpSender:
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
             self.srtt = 0.875 * self.srtt + 0.125 * sample
-        self.rto = min(max(self.srtt + 4.0 * self.rttvar, RTO_MIN), RTO_MAX)
+        # clamped by comparisons rather than min()/max(): this runs twice
+        # per ACK (same result, NaN included)
+        rto = self.srtt + 4.0 * self.rttvar
+        self.rto = RTO_MIN if rto < RTO_MIN else RTO_MAX if rto > RTO_MAX else rto
 
     def _arm_rto(self) -> None:
-        if self._rto_timer is not None:
+        if self._stopped:
+            return
+        if self._unacked:
+            self._rto_timer.mod(self.loop.now + self.rto)
+        else:
             self._rto_timer.cancel()
-            self._rto_timer = None
-        if self._unacked and not self._stopped:
-            self._rto_timer = self.loop.call_later(self.rto, self._on_rto)
 
     def _on_rto(self) -> None:
-        self._rto_timer = None
         if self._stopped or not self._unacked:
             return
         self.ca_state = CA_LOSS

@@ -66,6 +66,31 @@ class TestWorkBounds:
             recv.on_data(Packet(flow_id=0, seq=seq, sent_time=0.0))
         assert all(len(a.sack_holes) <= 128 for a in acks)
 
+    def test_heap_entries_per_packet_bounded(self, monkeypatch):
+        # Every call_at and every timer (re)queue is one heap push. A bulk
+        # flow needs three per packet (serialization, delivery, ACK return);
+        # cancelling and re-pushing the RTO on each transmit and ACK cost
+        # two more.
+        import repro.netsim.engine as engine
+
+        pushes = 0
+        push = engine.heappush
+
+        def counting_push(heap, item):
+            nonlocal pushes
+            pushes += 1
+            push(heap, item)
+
+        monkeypatch.setattr(engine, "heappush", counting_push)
+        loop = EventLoop()
+        net = Network(loop, FlatRate(48e6), TailDrop(int(48e6 * 0.04 / 8)))
+        flow = Flow(net, 0, "cubic", min_rtt=0.04)
+        flow.start()
+        loop.run_until(10.0)
+        delivered = flow.receiver.total_packets
+        assert delivered > 30_000
+        assert pushes <= 3.5 * delivered
+
 
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 2,

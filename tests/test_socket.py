@@ -5,14 +5,17 @@ exercised against genuine queueing behaviour.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.aqm import TailDrop
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Network
+from repro.netsim.network import Network, PathConfig
+from repro.netsim.packet import Packet
 from repro.netsim.traces import FlatRate
 from repro.tcp.cc_base import CongestionControl
 from repro.tcp.flow import Flow
-from repro.tcp.socket import CA_OPEN, CA_RECOVERY, TcpSender
+from repro.tcp.socket import CA_OPEN, CA_RECOVERY, TcpReceiver, TcpSender
 
 
 class HoldCC(CongestionControl):
@@ -186,3 +189,67 @@ class TestReceiver:
         # the in-order prefix plus whatever is buffered beyond the next hole
         r = flow.receiver
         assert r.total_packets == r.rcv_next + len(r._received)
+
+
+class TestTeardown:
+    def test_finished_flows_need_no_cyclic_gc(self):
+        """A finished sender is freed by reference counting alone.
+
+        The RTO timer holds ``sender._on_rto``; if the sender kept its timer
+        after ``stop()``, every churned flow would wait for the cyclic GC
+        (and an open-loop workload's peak RSS would grow with it).
+        """
+        import gc
+
+        from repro.netsim.engine import Timer
+        from repro.netsim.topo import dumbbell_topology
+        from repro.workload import WorkloadConfig, run_workload
+
+        gc.collect()
+        gc.disable()
+        try:
+            topo = dumbbell_topology(FlatRate(48e6), TailDrop(600_000))
+            result = run_workload(
+                topo,
+                WorkloadConfig(arrival_rate=300.0, duration=2.0,
+                               size_dist="lognormal", mean_size_bytes=8_000,
+                               seed=5),
+                drain=3.0,
+            )
+            finished = sum(r.finish is not None for r in result.records)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            found = [o for o in gc.garbage if isinstance(o, (TcpSender, Timer))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert finished >= 500
+        assert found == []
+
+
+class TestSackHoleReport:
+    @settings(max_examples=150, deadline=None)
+    @given(arrivals=st.lists(st.integers(0, 3000), min_size=1, max_size=400))
+    @example(arrivals=[*range(1, 1024), *range(1025, 1100)])  # hole at +1024
+    @example(arrivals=[0, 2000])  # > 128 holes
+    def test_matches_a_rescan_of_the_received_set(self, arrivals):
+        """The report is the first 128 missing sequences in
+        ``[rcv_next, min(max_seq_seen, rcv_next + 1024))``."""
+        net = Network(EventLoop(), FlatRate(12e6), TailDrop(120_000))
+        net.attach_flow(0, PathConfig(min_rtt=0.02),
+                        data_sink=lambda p: None, ack_sink=lambda p: None)
+        acks = []
+        net.send_ack = acks.append  # capture instead of routing
+        receiver = TcpReceiver(0, net)
+        received = set()
+        rcv_next = 0
+        for seq in arrivals:
+            receiver.on_data(Packet(flow_id=0, seq=seq, sent_time=0.0))
+            received.add(seq)
+            while rcv_next in received:
+                rcv_next += 1
+            horizon = min(max(received), rcv_next + 1024)
+            expected = [s for s in range(rcv_next, horizon) if s not in received]
+            assert acks[-1].ack_seq == rcv_next
+            assert acks[-1].sack_holes == tuple(expected[:128])
